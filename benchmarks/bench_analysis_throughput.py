@@ -14,8 +14,8 @@ side by side on the same matrix:
 * **reference** — the per-sample object pipeline (``LatencySample`` /
   ``Disk`` per matrix cell, fresh haversines per target);
 * **fast** — the array-native engine (:mod:`repro.census.fastpath`):
-  VP-gap matrix computed once, per-target overlap as slice + radii outer
-  sum, batched cached classification.
+  VP-gap matrix computed once, only the overlap rows each step reads
+  (gap-cache row + radii sum), batched cached classification.
 
 Both engines produce equivalent results (enforced by the equivalence
 suite); the gate here is the speedup of the enumeration+geolocation

@@ -89,8 +89,8 @@ class RttMatrix:
         Computed once and cached on the instance (read-only): detection,
         the per-target enumeration geometry, and the throughput benchmark
         all share the same matrix, and every disk of every target is
-        centered on one of these VPs — so per-target overlap matrices are
-        slices of this cache plus a radii outer sum, with zero fresh
+        centered on one of these VPs — so every overlap row a target
+        needs is a row of this cache plus a radii sum, with zero fresh
         trigonometry.
         """
         if self._vp_distances is None:

@@ -11,8 +11,19 @@ optimization leans on (Sec. 3.5): **the disk centers are fixed**.
 
 * :class:`SharedGeometry` computes the VP-to-VP great-circle matrix once
   per :class:`~repro.census.combine.RttMatrix` (cached on the matrix
-  object) and derives every target's disk-overlap matrix as a slice of
-  that cache plus a radii outer sum — zero per-target trigonometry.
+  object) and never builds a target's V × V overlap matrix.  It derives
+  only the overlap *rows* a step reads — a gap-cache row plus a radii sum,
+  zero per-target trigonometry:
+
+  - the detection witness scans rows in sample order (ascending RTT, so
+    the smallest disks first) in growing blocks of at most
+    :data:`~repro.core.detection.TILE_CELLS` cells and stops at the first
+    row holding a disjoint pair — that row's first disjoint column is
+    exactly ``np.argwhere(~overlap)[0]`` of the full matrix;
+  - greedy MIS (:func:`~repro.core.enumeration.greedy_mis` with
+    ``overlap_row=``) reads only the rows of the disks it selects,
+    O(V·k) for k selections instead of O(V²); iterative enumeration does
+    the same over the combined VP + city gap matrix once disks collapse.
 * Classification reads a cached city-to-VP distance matrix and the
   gazetteer's cached population array, with a per-``(vp_index, radius)``
   replica cache (iterative enumeration re-classifies near-identical
@@ -39,15 +50,36 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.detection import DetectionResult, detection_mask, radius_matrix
+from ..core.detection import (
+    PROBE_DISKS,
+    TILE_CELLS,
+    DetectionResult,
+    detection_mask,
+    radius_matrix,
+)
 from ..core.enumeration import greedy_mis
 from ..core.geolocation import classify_disks
 from ..core.igreedy import IGreedyConfig, IGreedyResult, _dedup_by_city
 from ..geo.cities import CityDB, default_city_db
 from ..geo.coords import pairwise_distances_from_radians
-from ..geo.disks import Disk
+from ..geo.disks import OVERLAP_SLACK_KM, Disk
 from ..obs import current_metrics, current_tracer
 from .combine import RttMatrix
+
+
+def overlap_rows(
+    gap: np.ndarray, points: np.ndarray, radii_km: np.ndarray, rows
+) -> np.ndarray:
+    """Rows ``rows`` of the disk-overlap matrix of disks on cached points.
+
+    Disk *i* is centered on point ``points[i]`` of the gap matrix ``gap``
+    (:attr:`SharedGeometry.vp_gap` or :attr:`SharedGeometry.combined`).
+    Row for row equal to :func:`repro.geo.disks.overlap_matrix` on the
+    same disks — a gap-cache slice plus a radii sum instead of fresh
+    haversine, and only the rows asked for.
+    """
+    gaps = gap[points[rows, None], points]
+    return gaps <= radii_km[rows, None] + radii_km + OVERLAP_SLACK_KM
 
 
 class SharedGeometry:
@@ -128,14 +160,30 @@ class SharedGeometry:
         order = np.lexsort((self.name_rank[present], rtt))
         return present[order], rtt[order]
 
-    def overlap_submatrix(self, vp_indices: np.ndarray, radii_km: np.ndarray) -> np.ndarray:
-        """Disk-overlap matrix for VP-centered disks, from the cached gaps.
+    def first_disjoint_pair(
+        self, vp_indices: np.ndarray, radii_km: np.ndarray
+    ) -> Optional[Tuple[int, int]]:
+        """The first disjoint pair of the overlap matrix, in row-major order.
 
-        Equivalent to :func:`repro.geo.disks.overlap_matrix` on the same
-        disks — a slice plus a radii outer sum instead of fresh haversine.
+        Equal to ``np.argwhere(~overlap)[0]`` of the full matrix (the
+        serialized detection witness), but scans rows in sample order —
+        ascending RTT, so the smallest disks, which witness most anycast
+        targets, come first — and stops at the first row holding a
+        disjoint pair.  Rows are tested in growing blocks of at most
+        ``TILE_CELLS`` cells; ``None`` when every pair overlaps.
         """
-        gaps = self.vp_gap[np.ix_(vp_indices, vp_indices)]
-        return gaps <= radii_km[:, None] + radii_km[None, :] + 1e-9
+        n = len(vp_indices)
+        start, width = 0, PROBE_DISKS
+        while start < n:
+            stop = min(n, start + width)
+            rows = np.arange(start, stop)
+            disjoint = np.argwhere(~overlap_rows(self.vp_gap, vp_indices, radii_km, rows))
+            if len(disjoint):
+                i, j = disjoint[0]
+                return start + int(i), int(j)
+            start = stop
+            width = max(width, TILE_CELLS // n)
+        return None
 
 
 class FastAnalysisEngine:
@@ -219,18 +267,13 @@ class FastAnalysisEngine:
             if n < 2:
                 detection = DetectionResult(is_anycast=False, sample_count=n)
                 return IGreedyResult(detection=detection)
-            overlap_all = geo.overlap_submatrix(vp_indices, radii)
-            disjoint = ~overlap_all
-            if not disjoint.any():
-                detection = DetectionResult(
-                    is_anycast=False, witness=None, sample_count=n
-                )
-                return IGreedyResult(detection=detection)
-            i, j = np.argwhere(disjoint)[0]
+            witness = geo.first_disjoint_pair(vp_indices, radii)
             detection = DetectionResult(
-                is_anycast=True, witness=(int(i), int(j)), sample_count=n
+                is_anycast=witness is not None, witness=witness, sample_count=n
             )
             result = IGreedyResult(detection=detection)
+            if witness is None:
+                return result
 
             # Uninformative-sample filter (with the reference's fallback
             # to the unfiltered set when it leaves fewer than two disks).
@@ -242,19 +285,21 @@ class FastAnalysisEngine:
                 keep = np.arange(n)
             vps = vp_indices[keep]
             radii_f = radii[keep]
-            overlap = overlap_all[np.ix_(keep, keep)]
             m = len(vps)
             metrics.histogram("disks_per_target").observe(m)
 
             if cfg.strict_enumeration:
-                selected = greedy_mis(overlaps=overlap, radii_km=radii_f)
+                selected = greedy_mis(
+                    radii_km=radii_f,
+                    overlap_row=lambda i: overlap_rows(geo.vp_gap, vps, radii_f, i),
+                )
                 classified = self.classify_vp_disks(
                     vps[selected], radii_f[selected]
                 )
                 result.replicas = _dedup_by_city([r for r, _ in classified])
                 result.iterations = 1
             else:
-                self._iterate(result, vps, radii_f, overlap)
+                self._iterate(result, vps, radii_f)
 
             metrics.histogram("igreedy_iterations").observe(result.iterations)
             metrics.counter("replicas_enumerated").inc(result.replica_count)
@@ -266,21 +311,25 @@ class FastAnalysisEngine:
         result: IGreedyResult,
         vps: np.ndarray,
         radii: np.ndarray,
-        overlap: np.ndarray,
     ) -> None:
         """Paper-style iteration: collapse classified disks, re-run MIS."""
         cfg = self.config
         geo = self.geometry
         m = len(vps)
-        # Point ids into the combined gap matrix: VP index while original,
-        # n_vps + city index once collapsed onto a classified city.
+        # Point ids into the gap matrices: VP index while original,
+        # n_vps + city index once collapsed onto a classified city.  Until
+        # the first collapse every disk is VP-centered and rows come from
+        # the VP gap cache; afterwards from the combined VP+city matrix.
         point_ids = vps.astype(np.int64).copy()
         cur_radii = radii.copy()
         classified: List[Optional[object]] = [None] * m
-        current_overlap = overlap
+        gaps = geo.vp_gap
+
+        def overlap_row(i: int) -> np.ndarray:
+            return overlap_rows(gaps, point_ids, cur_radii, i)
 
         for iteration in range(1, cfg.max_iterations + 1):
-            selected = greedy_mis(overlaps=current_overlap, radii_km=cur_radii)
+            selected = greedy_mis(radii_km=cur_radii, overlap_row=overlap_row)
             fresh = [i for i in selected if classified[i] is None]
             if fresh:
                 for i, (replica, city_idx) in zip(
@@ -293,12 +342,9 @@ class FastAnalysisEngine:
             result.iterations = iteration
             if not fresh:
                 break
-            gaps = geo.combined[np.ix_(point_ids, point_ids)]
-            current_overlap = (
-                gaps <= cur_radii[:, None] + cur_radii[None, :] + 1e-9
-            )
+            gaps = geo.combined
 
-        final = greedy_mis(overlaps=current_overlap, radii_km=cur_radii)
+        final = greedy_mis(radii_km=cur_radii, overlap_row=overlap_row)
         result.replicas = _dedup_by_city(
             [classified[i] for i in final if classified[i] is not None]
         )

@@ -9,14 +9,15 @@ provided by a prohibitively more costly brute force solution".
 
 Both solvers are provided:
 
-* :func:`greedy_mis` — the production path, O(n^2);
+* :func:`greedy_mis` — the production path, O(n^2) (O(n·k) given lazy
+  overlap rows, k the set size);
 * :func:`exact_mis` — branch-and-bound exact solver for small instances,
   used by tests and the MIS-quality benchmark.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -29,17 +30,19 @@ def greedy_mis(
     overlaps: Optional[np.ndarray] = None,
     ordering: str = "radius",
     radii_km: Optional[np.ndarray] = None,
+    overlap_row: Optional[Callable[[int], np.ndarray]] = None,
 ) -> List[int]:
     """Greedy maximum-independent-set on disks, smallest radius first.
 
     Returns indices of the selected (pairwise-disjoint) disks, in selection
     order.  Passing a precomputed ``overlaps`` matrix skips the geometry.
 
-    The array-native census fast path calls this without ``Disk`` objects
-    at all: pass ``overlaps`` (e.g. a slice of the cached VP gap matrix
-    plus a radii outer sum) together with ``radii_km`` and leave ``disks``
-    as ``None`` — the selection is identical because the greedy only ever
-    consults radii and the overlap matrix.
+    The greedy only ever reads the overlap row of a disk it selects, so the
+    array-native census fast path passes ``overlap_row(i)`` — a callback
+    returning row *i* of the overlap matrix — together with ``radii_km``,
+    and leaves ``disks`` and ``overlaps`` as ``None``: k selections cost
+    O(n·k) instead of the O(n²) full matrix, and the selection is identical
+    because the greedy consults nothing but radii and those rows.
 
     Ordering by increasing radius (the default) is what makes the
     approximation bound hold: a small disk can conflict with at most five
@@ -47,28 +50,36 @@ def greedy_mis(
     scans disks in input order instead — no approximation guarantee; kept
     for the MIS-ordering ablation.
     """
-    if disks is None:
-        if overlaps is None:
-            raise ValueError("greedy_mis needs disks or a precomputed overlaps")
-        n = overlaps.shape[0]
-    else:
+    if disks is not None:
         n = len(disks)
+    elif overlaps is not None:
+        n = overlaps.shape[0]
+    elif overlap_row is not None and radii_km is not None:
+        n = len(radii_km)
+    else:
+        raise ValueError(
+            "greedy_mis needs disks, a precomputed overlaps, "
+            "or overlap_row with radii_km"
+        )
     if n == 0:
         return []
     with current_tracer().span("enumeration", disks=n):
-        if overlaps is None:
-            overlaps = overlap_matrix(disks)
-        elif overlaps.shape != (n, n):
-            raise ValueError("overlap matrix shape mismatch")
+        if overlap_row is None:
+            if overlaps is None:
+                overlaps = overlap_matrix(disks)
+            elif overlaps.shape != (n, n):
+                raise ValueError("overlap matrix shape mismatch")
+            overlap_row = overlaps.__getitem__
         if ordering == "radius":
             if radii_km is not None:
                 if len(radii_km) != n:
                     raise ValueError("radii_km length mismatch")
-                order = sorted(range(n), key=lambda i: (radii_km[i], i))
             elif disks is None:
                 raise ValueError("radius ordering needs disks or radii_km")
             else:
-                order = sorted(range(n), key=lambda i: (disks[i].radius_km, i))
+                radii_km = [d.radius_km for d in disks]
+            # Ascending radius, ties by index.
+            order = np.lexsort((np.arange(n), np.asarray(radii_km))).tolist()
         elif ordering == "arbitrary":
             order = list(range(n))
         else:
@@ -79,7 +90,7 @@ def greedy_mis(
             if excluded[i]:
                 continue
             selected.append(i)
-            excluded |= overlaps[i]
+            excluded |= overlap_row(i)
     current_metrics().histogram("mis_size").observe(len(selected))
     return selected
 

@@ -32,6 +32,13 @@ LIGHT_SPEED_KM_PER_MS = 299.792458
 #: Conventional propagation speed in optical fiber (~2/3 c), km/ms.
 FIBER_SPEED_KM_PER_MS = LIGHT_SPEED_KM_PER_MS * 2.0 / 3.0
 
+#: Slack (km) of every disk predicate: two disks overlap when
+#: ``gap <= (r_i + r_j) + OVERLAP_SLACK_KM`` and are disjoint otherwise.
+#: Object-level tests, the overlap matrices and the census-wide kernel
+#: (:mod:`repro.core.detection`) all evaluate exactly this expression, so
+#: a near-tangent pair is judged the same way everywhere.
+OVERLAP_SLACK_KM = 1e-9
+
 
 @dataclass(frozen=True)
 class Disk:
@@ -46,7 +53,7 @@ class Disk:
 
     def contains(self, point: GeoPoint) -> bool:
         """True if ``point`` lies in the (closed) disk."""
-        return self.center.distance_km(point) <= self.radius_km + 1e-9
+        return self.center.distance_km(point) <= self.radius_km + OVERLAP_SLACK_KM
 
     def overlaps(self, other: "Disk") -> bool:
         """True if the two closed disks share at least one point.
@@ -57,12 +64,12 @@ class Disk:
         carries over).
         """
         gap = self.center.distance_km(other.center)
-        return gap <= self.radius_km + other.radius_km + 1e-9
+        return gap <= self.radius_km + other.radius_km + OVERLAP_SLACK_KM
 
     def contains_disk(self, other: "Disk") -> bool:
         """True if ``other`` lies entirely inside this disk."""
         gap = self.center.distance_km(other.center)
-        return gap + other.radius_km <= self.radius_km + 1e-9
+        return gap + other.radius_km <= self.radius_km + OVERLAP_SLACK_KM
 
     def shrunk_to(self, point: GeoPoint) -> "Disk":
         """Collapse the disk to a zero-radius disk at ``point``.
@@ -117,7 +124,7 @@ def overlap_matrix(disks: Sequence[Disk]) -> np.ndarray:
     lons = [d.center.lon for d in disks]
     radii = np.array([d.radius_km for d in disks], dtype=np.float64)
     gaps = pairwise_distances_km(lats, lons, lats, lons)
-    return gaps <= radii[:, None] + radii[None, :] + 1e-9
+    return gaps <= radii[:, None] + radii[None, :] + OVERLAP_SLACK_KM
 
 
 def any_disjoint_pair(disks: Sequence[Disk]) -> Optional[tuple]:

@@ -75,6 +75,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..census.combine import RttMatrix
+from ..core.detection import disjoint_involvement, disjoint_rows
 from ..geo.disks import FIBER_SPEED_KM_PER_MS
 from ..obs import current_events, current_metrics
 
@@ -297,6 +298,40 @@ def _robust_z(
     return z, median
 
 
+def violation_counts(
+    distances: np.ndarray, radii: np.ndarray, chunk: int = 256
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-VP solo and raw speed-of-light violation counts over targets.
+
+    ``radii`` is (n_targets, n_vps) with ``inf`` (or NaN) for silenced
+    cells.  Returns ``(solo_counts, raw_counts)``: per VP, the targets
+    whose every violating disk pair involves it, and the violating pairs
+    it is part of, summed over targets.
+
+    The pair test is the detection kernel's (:mod:`repro.core.detection`):
+    :func:`disjoint_rows` first finds the targets with any violation —
+    most anycast rows are settled by their few smallest disks, and a
+    target with none contributes to neither count — then
+    :func:`disjoint_involvement` counts per-VP involvement on those rows
+    only, ``chunk`` targets at a time, testing just the disks small enough
+    to witness (``2r < D``, D the largest VP gap) in tiles of bounded
+    scratch.  The counts equal those of the full V × V pair test exactly.
+    """
+    n_vps = radii.shape[1]
+    solo_counts = np.zeros(n_vps, dtype=np.int64)
+    raw_counts = np.zeros(n_vps, dtype=np.int64)
+    violating = np.flatnonzero(disjoint_rows(distances, radii))
+    for start in range(0, len(violating), chunk):
+        involved = disjoint_involvement(
+            distances, radii[violating[start : start + chunk]]
+        )  # (t, n): violating pairs touching VP j
+        total = involved.sum(axis=1)  # (t,): 2 x violating pairs
+        solo = (involved > 0) & (2 * involved == total[:, None])
+        solo_counts += solo.sum(axis=0)
+        raw_counts += involved.sum(axis=0)
+    return solo_counts, raw_counts
+
+
 def score_vps(
     matrix: RttMatrix,
     policy: Optional[TrustPolicy] = None,
@@ -353,6 +388,8 @@ def score_vps(
     # a lone fabricated pair is formally attributable to *both* of its
     # endpoints — the honest endpoint's rate deflates once the liar
     # (the common endpoint of many such pairs, hence the argmax) goes.
+    # The counting itself is :func:`violation_counts` (the detection
+    # kernel).
     distances = matrix.vp_distance_matrix()
     radii = rtt / 2.0 * policy.speed_km_per_ms
     sol_flag = np.zeros(n_vps, dtype=bool)
@@ -364,26 +401,16 @@ def score_vps(
     while True:
         active = surviving & ~sol_flag
         safe = np.where(present & active[None, :], radii, np.inf)
-        solo_counts = np.zeros(n_vps, dtype=np.int64)
-        raw_counts = np.zeros(n_vps, dtype=np.int64)
-        raw_pairs = np.zeros(n_vps, dtype=np.int64)
-        for start in range(0, n_targets, chunk):
-            block = safe[start : start + chunk]
-            sums = block[:, :, None] + block[:, None, :]
-            violations = distances[None, :, :] > sums
-            involved = violations.sum(axis=2)  # (t, n): pairs touching VP j
-            total = involved.sum(axis=1)  # (t,): 2 x violating pairs
-            solo = (involved > 0) & (2 * involved == total[:, None])
-            solo_counts += solo.sum(axis=0)
-            if first_round:
-                both = present[start : start + chunk] & active[None, :]
-                raw_counts += involved.sum(axis=0)
-                raw_pairs += (
-                    both.sum(axis=1)[:, None] * both - both
-                ).sum(axis=0)
+        solo_counts, raw_counts = violation_counts(distances, safe, chunk)
         rates = solo_counts / np.maximum(col_samples, 1)
         solo_rates = np.where(active, rates, solo_rates)
         if first_round:
+            raw_pairs = np.zeros(n_vps, dtype=np.int64)
+            for start in range(0, n_targets, chunk):
+                both = present[start : start + chunk] & active[None, :]
+                raw_pairs += (
+                    both.sum(axis=1)[:, None] * both - both
+                ).sum(axis=0)
             violation_rate = raw_counts / np.maximum(raw_pairs, 1)
             first_round = False
         # A candidate must clear the absolute floor AND be a robust

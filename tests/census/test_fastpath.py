@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.census.combine import matrix_from_census
-from repro.census.fastpath import FastAnalysisEngine, SharedGeometry
+from repro.census.fastpath import FastAnalysisEngine, SharedGeometry, overlap_rows
 from repro.core.geolocation import classify_disk, classify_disks, classify_nearest
 from repro.core.igreedy import IGreedyConfig
 from repro.geo.cities import default_city_db
+from repro.geo.coords import pairwise_distances_km
 from repro.geo.disks import Disk, overlap_matrix
 
 
@@ -33,7 +36,7 @@ class TestVpDistanceCache:
 
 class TestSharedGeometry:
     def test_overlap_slice_matches_disk_objects(self, matrix, geometry):
-        """Slice-plus-radii-outer-sum == overlap_matrix on fresh disks."""
+        """Gap-slice-plus-radii-sum rows == overlap_matrix on fresh disks."""
         rng = np.random.default_rng(3)
         vp_indices = np.sort(rng.choice(matrix.n_vps, size=12, replace=False))
         radii = rng.uniform(50.0, 4000.0, size=12)
@@ -42,8 +45,32 @@ class TestSharedGeometry:
             for v, r in zip(vp_indices, radii)
         ]
         expected = overlap_matrix(disks)
-        got = geometry.overlap_submatrix(vp_indices, radii)
+        got = overlap_rows(geometry.vp_gap, vp_indices, radii, np.arange(12))
         assert np.array_equal(expected, got)
+        for i in range(12):
+            assert np.array_equal(expected[i], overlap_rows(geometry.vp_gap, vp_indices, radii, i))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        size=st.integers(min_value=2, max_value=300),
+        stretch=st.sampled_from([0.2, 1.0, 1.3]),
+    )
+    def test_witness_is_first_disjoint_pair(self, matrix, geometry, seed, size, stretch):
+        """The row scan's witness == np.argwhere(~overlap)[0] of the full matrix."""
+        rng = np.random.default_rng(seed)
+        vp_indices = rng.choice(matrix.n_vps, size=min(size, matrix.n_vps), replace=False)
+        site = rng.uniform(-60.0, 60.0), rng.uniform(-180.0, 180.0)
+        lats = [matrix.vp_locations[v].lat for v in vp_indices]
+        lons = [matrix.vp_locations[v].lon for v in vp_indices]
+        radii = pairwise_distances_km(lats, lons, [site[0]], [site[1]])[:, 0] * stretch
+        radii = np.sort(np.where(rng.random(len(radii)) < 0.2, 0.0, radii))
+        overlap = overlap_rows(geometry.vp_gap, vp_indices, radii, np.arange(len(radii)))
+        disjoint = np.argwhere(~overlap)
+        expected = tuple(int(x) for x in disjoint[0]) if len(disjoint) else None
+        witness = geometry.first_disjoint_pair(vp_indices, radii)
+        assert witness == expected
+        assert witness is None or all(type(x) is int for x in witness)
 
     def test_target_arrays_match_sample_ordering(self, matrix, geometry):
         """(vp_index, rtt) arrays reproduce min_rtt_samples order."""

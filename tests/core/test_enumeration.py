@@ -78,6 +78,34 @@ class TestGreedy:
         with pytest.raises(ValueError):
             greedy_mis(disks, overlaps=np.ones((2, 2), dtype=bool))
 
+    def test_ties_broken_by_index(self):
+        twins = [Disk(GeoPoint(0, 0), 500.0), Disk(GeoPoint(0, 1), 500.0)]
+        assert greedy_mis(twins) == [0]
+        overlaps = np.ones((3, 3), dtype=bool)
+        assert greedy_mis(overlaps=overlaps, radii_km=np.array([7.0, 5.0, 5.0])) == [1]
+
+    @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=1, max_value=40))
+    @settings(max_examples=30, deadline=None)
+    def test_lazy_rows_match_matrix(self, seed, n):
+        """overlap_row selects the same disks, reading only selected rows."""
+        disks = random_disks(n, seed)
+        m = overlap_matrix(disks)
+        radii = np.array([d.radius_km for d in disks])
+        read = []
+
+        def row(i):
+            read.append(i)
+            return m[i]
+
+        selected = greedy_mis(radii_km=radii, overlap_row=row)
+        assert selected == greedy_mis(disks)
+        assert read == selected
+        assert all(type(i) is int for i in selected)
+
+    def test_lazy_rows_need_radii(self):
+        with pytest.raises(ValueError):
+            greedy_mis(overlap_row=lambda i: np.ones(1, dtype=bool))
+
 
 class TestExact:
     def test_empty(self):

@@ -26,6 +26,9 @@ from hypothesis import strategies as st
 
 from repro.census.analysis import analyze_matrix
 from repro.census.combine import combine_censuses
+from repro.core.detection import disjoint_involvement
+from repro.geo.coords import pairwise_distances_km
+from repro.geo.disks import OVERLAP_SLACK_KM
 from repro.geo.cities import default_city_db
 from repro.internet.topology import InternetConfig, SyntheticInternet
 from repro.measurement.campaign import CensusCampaign
@@ -40,6 +43,7 @@ from repro.resilience.vptrust import (
     VpTrustVerdict,
     apply_trust,
     score_vps,
+    violation_counts,
 )
 
 
@@ -366,3 +370,55 @@ class TestEdgesAndPolicy:
         assert {"name", "trusted", "reasons", "solo_rate"} <= set(
             doc["verdicts"][0]
         )
+
+
+# -- the counting kernel vs the V x V pair cube ----------------------------
+
+
+def cube_counts(gap, radii):
+    """(involved, solo_counts, raw_counts) from the full pair cube."""
+    safe = np.where(np.isnan(radii), np.inf, radii)
+    cube = gap[None, :, :] > (safe[:, :, None] + safe[:, None, :]) + OVERLAP_SLACK_KM
+    involved = cube.sum(axis=2)
+    total = involved.sum(axis=1)
+    solo = (involved > 0) & (2 * involved == total[:, None])
+    return involved, solo.sum(axis=0), involved.sum(axis=0)
+
+
+@st.composite
+def silenced_rosters(draw):
+    """Gap matrix plus trust-round radii: tied, silenced (inf), NaN holes."""
+    n_vps = draw(st.integers(min_value=2, max_value=600))
+    n_targets = draw(st.integers(min_value=1, max_value=8))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    lats = rng.uniform(-80.0, 80.0, size=n_vps)
+    lons = rng.uniform(-180.0, 180.0, size=n_vps)
+    gap = pairwise_distances_km(lats, lons, lats, lons)
+    # Distances to one or two random sites per target, inflated or not:
+    # unicast rows, anycast rows and exactly tangent rows.
+    sites = pairwise_distances_km(
+        lats, lons, rng.uniform(-60.0, 60.0, 2 * n_targets),
+        rng.uniform(-180.0, 180.0, 2 * n_targets),
+    ).T.reshape(n_targets, 2, n_vps)
+    two = rng.random(n_targets) < 0.5
+    radii = np.where(two[:, None], sites.min(axis=1), sites[:, 0])
+    radii = radii * rng.choice([1.0, 1.2], size=(n_targets, 1))
+    tied = rng.random(radii.shape) < 0.2
+    radii[tied] = rng.choice([0.0, 300.0, gap.max() / 2.0], size=int(tied.sum()))
+    radii[:, rng.random(n_vps) < 0.1] = np.inf  # silenced columns
+    radii[rng.random(radii.shape) < draw(st.floats(0.0, 0.5))] = np.nan
+    if draw(st.booleans()):
+        radii[rng.integers(n_targets)] = np.nan
+    return gap, radii
+
+
+class TestCountingKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(case=silenced_rosters(), chunk=st.sampled_from([1, 3, 256]))
+    def test_counts_equal_cube(self, case, chunk):
+        gap, radii = case
+        involved, solo, raw = cube_counts(gap, radii)
+        assert np.array_equal(disjoint_involvement(gap, radii), involved)
+        got_solo, got_raw = violation_counts(gap, radii, chunk=chunk)
+        assert np.array_equal(got_solo, solo)
+        assert np.array_equal(got_raw, raw)

@@ -123,6 +123,31 @@ class TestPropertyEquivalence:
         fast = analyze_matrix(matrix, city_db=db, config=fast_config(**kwargs))
         assert_equivalent(ref, fast)
 
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(matrix=rtt_matrices(), config_index=st.integers(0, len(CONFIG_GRID) - 1))
+    def test_mis_rounds_match(self, matrix, config_index):
+        """Every MIS round selects as many disks in both engines.
+
+        Replica lists are deduplicated by city, so an overlap test that
+        differs only for disks collapsed onto one city leaves them equal;
+        the per-round MIS sizes (the ``mis_size`` histogram) do not.
+        """
+        from repro.obs.metrics import MetricsRegistry, use_metrics
+
+        kwargs = CONFIG_GRID[config_index]
+        db = default_city_db()
+        histograms = []
+        for config in (reference_config(**kwargs), fast_config(**kwargs)):
+            registry = MetricsRegistry()
+            with use_metrics(registry):
+                analyze_matrix(matrix, city_db=db, config=config)
+            histograms.append(registry.snapshot()["histograms"].get("mis_size"))
+        assert histograms[0] == histograms[1]
+
     @settings(max_examples=15, deadline=None)
     @given(matrix=rtt_matrices())
     def test_min_samples_guard_matches(self, matrix):
@@ -264,3 +289,104 @@ class TestEngineKnob:
         monkeypatch.setenv("REPRO_ANALYSIS_ENGINE", "warp")
         with pytest.raises(ValueError):
             IGreedyConfig().resolved_engine()
+
+
+# -- one disjointness predicate --------------------------------------------
+
+
+def _tangent_matrix(excess_km: float) -> RttMatrix:
+    """Three VPs on the equator; VPs 0 and 1 see disks whose gap exceeds
+    the sum of their radii by the smallest float step above ``excess_km``.
+
+    VP 1's longitude is bisected until ``gap - (r0 + r1)`` lands just above
+    ``excess_km``; VP 2's huge RTT makes a disk covering the whole Earth.
+    """
+    from repro.core.detection import radius_matrix
+    from repro.geo.coords import pairwise_distances_km
+
+    rtt = np.array([[10.0, 10.0, 400.0]], dtype=np.float32)
+    r0, r1, _ = radius_matrix(rtt)[0]
+
+    def excess(lon: float) -> float:
+        gap = pairwise_distances_km([0.0, 0.0], [0.0, lon], [0.0, 0.0], [0.0, lon])
+        return float(gap[0, 1]) - (r0 + r1) - excess_km
+
+    lo, hi = 10.0, 30.0
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if excess(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    assert 0.0 < excess(hi) < 1e-11
+    return RttMatrix(
+        prefixes=np.array([7], dtype=np.uint32),
+        vp_names=["vp-a", "vp-b", "vp-c"],
+        vp_locations=[GeoPoint(0.0, 0.0), GeoPoint(0.0, hi), GeoPoint(0.0, 90.0)],
+        rtt_ms=rtt,
+        sample_count=np.ones((1, 3), dtype=np.uint8),
+    )
+
+
+class TestOnePredicate:
+    """Detection mask and per-target result judge a pair the same way."""
+
+    def test_near_tangent_pair_is_not_anycast(self):
+        # gap - (r0 + r1) is ~1e-12 km: inside the overlap slack.
+        matrix = _tangent_matrix(0.0)
+        db = default_city_db()
+        ref = analyze_matrix(matrix, city_db=db, config=reference_config())
+        fast = analyze_matrix(matrix, city_db=db, config=fast_config())
+        assert_equivalent(ref, fast)
+        assert fast.anycast_mask.tolist() == [False]
+        assert fast.n_anycast == 0
+        from repro.census.fastpath import FastAnalysisEngine
+
+        result = FastAnalysisEngine(matrix, city_db=db).analyze_row(0)
+        assert not result.detection.is_anycast
+        assert result.detection.witness is None
+
+    def test_pair_just_beyond_the_slack_is_anycast(self):
+        matrix = _tangent_matrix(2e-9)
+        db = default_city_db()
+        ref = analyze_matrix(matrix, city_db=db, config=reference_config())
+        fast = analyze_matrix(matrix, city_db=db, config=fast_config())
+        assert_equivalent(ref, fast)
+        assert fast.anycast_mask.tolist() == [True]
+        (result,) = fast.results.values()
+        assert result.detection.witness == (0, 1)
+        assert result.replica_count >= 1
+
+
+# -- large rosters -----------------------------------------------------------
+
+
+def _roster_matrix(n_vps: int, n_targets: int, seed: int) -> RttMatrix:
+    """A wide roster: quantized RTTs (ties), NaN holes, shuffled names."""
+    rng = np.random.default_rng(seed)
+    lats = rng.uniform(-60.0, 70.0, size=n_vps)
+    lons = rng.uniform(-179.0, 179.0, size=n_vps)
+    rtt = rng.choice([3.0, 8.0, 25.0, 60.0, 140.0, 300.0], size=(n_targets, n_vps))
+    rtt = np.where(rng.random(rtt.shape) < 0.15, np.nan, rtt).astype(np.float32)
+    return RttMatrix(
+        prefixes=np.arange(1, n_targets + 1, dtype=np.uint32),
+        vp_names=[f"vp-{i:04d}" for i in rng.permutation(n_vps)],
+        vp_locations=[GeoPoint(float(a), float(b)) for a, b in zip(lats, lons)],
+        rtt_ms=rtt,
+        sample_count=(~np.isnan(rtt)).astype(np.uint8),
+    )
+
+
+class TestLargeRosters:
+    @pytest.mark.parametrize(
+        "n_vps,n_targets,config_index",
+        [(300, 4, 0), (300, 4, 3), (1000, 2, 1), (2000, 1, 0)],
+    )
+    def test_fast_equals_reference(self, n_vps, n_targets, config_index):
+        matrix = _roster_matrix(n_vps, n_targets, seed=n_vps + config_index)
+        db = default_city_db()
+        kwargs = CONFIG_GRID[config_index]
+        ref = analyze_matrix(matrix, city_db=db, config=reference_config(**kwargs))
+        fast = analyze_matrix(matrix, city_db=db, config=fast_config(**kwargs))
+        assert fast.results, "the roster must detect anycast"
+        assert_equivalent(ref, fast)
